@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"repro/internal/dist"
 )
@@ -85,8 +86,9 @@ func NewQuantileAgg(attr string, q float64, opts QuantileOptions) UAgg {
 func (a *quantileAgg) Kind() string { return "quantile" }
 func (a *quantileAgg) Attr() string { return a.attr }
 
-// Heavy: the exact path's grid tabulation runs a Poisson-binomial DP per
-// grid edge — worth a worker per group.
+// Heavy: the exact path's grid tabulation runs a Poisson-binomial DP at
+// every grid edge where a contribution's CDF changes — worth a worker per
+// group.
 func (a *quantileAgg) Heavy() bool { return true }
 
 // sketch compresses one attribute distribution to its centered-quantile
@@ -180,16 +182,28 @@ func (a *quantileAgg) result(cs []qContrib) dist.Dist {
 
 // exact tabulates the conditional order-statistic distribution
 // P(X_(k) ≤ x | N ≥ k) on a grid over the combined effective range.
+//
+// The tabulation is event-driven. A point-mass contribution (a certain
+// attribute) has a step t_i: p_i·0 below V and p_i·1 from the first grid
+// edge x_e with !(x_e < V) on — the comparison PointMass.CDF makes. Those
+// contributions are bucketed by that activation edge up front; only the
+// rest are evaluated at every edge, and the DP reruns only at edges where
+// some t_i changed bitwise. Elsewhere the previous f is carried: the same
+// inputs give the same bits, so the histogram is identical to evaluating
+// every contribution and rerunning the DP at every edge.
 func (a *quantileAgg) exact(cs []qContrib, w float64, k int) dist.Dist {
+	n, g := len(cs), a.opts.GridPoints
+	sc := exactScratch.Get().(*qScratch)
+	defer exactScratch.Put(sc)
+	sc.f = resize(sc.f, n+k+1+g)
+	ts, dp, masses := sc.f[:n], sc.f[n:n+k+1], sc.f[n+k+1:]
 	// P(N ≥ k): the population must reach k for the k-th order statistic to
 	// exist. Below machine scale the conditional is vacuous — report the
 	// sketch quantile as a point answer rather than dividing by ~0.
-	ps := make([]float64, len(cs))
 	for i, c := range cs {
-		ps[i] = c.p
+		ts[i] = c.p
 	}
-	dp := make([]float64, k+1)
-	pN := pbTail(dp, ps, k)
+	pN := pbTail(dp, ts, k)
 	if pN < 1e-12 {
 		x, _ := a.sketchQuantile(cs, w)
 		return dist.PointMass{V: x}
@@ -203,23 +217,97 @@ func (a *quantileAgg) exact(cs []qContrib, w float64, k int) dist.Dist {
 	if !(hi > lo) {
 		return dist.PointMass{V: lo}
 	}
-	g := a.opts.GridPoints
-	ts := make([]float64, len(cs))
-	masses := make([]float64, g)
-	prev := 0.0
-	for e := 1; e <= g; e++ {
-		x := lo + (hi-lo)*float64(e)/float64(g)
-		for i, c := range cs {
-			ts[i] = c.p * c.d.CDF(x)
+	// head[e] starts the list (linked through next) of point masses that
+	// activate at edge e; cont lists the contributions evaluated per edge.
+	sc.i = resize(sc.i, g+1+2*n)
+	head, next, cont := sc.i[:g+1], sc.i[g+1:g+1+n], sc.i[g+1+n:g+1+n]
+	for e := range head {
+		head[e] = -1
+	}
+	for i, c := range cs {
+		pm, ok := c.d.(dist.PointMass)
+		if !ok {
+			cont = append(cont, i)
+			continue
 		}
-		f := pbTail(dp, ts, k) / pN
-		if f > 1 {
-			f = 1
+		ts[i] = c.p * 0 // not 0: an infinite or NaN p gives NaN, as p·CDF does
+		if e := activationEdge(lo, hi, pm.V, g); e <= g {
+			next[i] = head[e]
+			head[e] = i
+		}
+	}
+	var f, prev float64
+	for e := 1; e <= g; e++ {
+		changed := e == 1
+		for i := head[e]; i >= 0; i = next[i] {
+			t := cs[i].p // p·1
+			changed = changed || math.Float64bits(t) != math.Float64bits(ts[i])
+			ts[i] = t
+		}
+		if len(cont) > 0 {
+			x := gridEdge(lo, hi, e, g)
+			for _, i := range cont {
+				t := cs[i].p * cs[i].d.CDF(x)
+				changed = changed || math.Float64bits(t) != math.Float64bits(ts[i])
+				ts[i] = t
+			}
+		}
+		if changed {
+			f = pbTail(dp, ts, k) / pN
+			if f > 1 {
+				f = 1
+			}
 		}
 		masses[e-1] = math.Max(0, f-prev)
 		prev = f
 	}
 	return dist.NewHistogram(lo, hi, masses)
+}
+
+// qScratch is exact's working memory: trial probabilities, DP row and bin
+// masses in f; activation buckets and the per-edge list in i. Every slot a
+// call reads it writes first, and the histogram copies the masses, so a
+// recycled scratch carries nothing between calls.
+type qScratch struct {
+	f []float64
+	i []int
+}
+
+// exactScratch recycles qScratch across calls. Group folds run
+// concurrently on the finalize worker pool, and once the DP runs only at
+// changed edges, allocating the scratch afresh costs more than the DP.
+var exactScratch = sync.Pool{New: func() any { return new(qScratch) }}
+
+// resize returns s with length n, reallocating only when its capacity is
+// short.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// gridEdge is the e-th of the g tabulation edges over [lo, hi]. Each
+// operation rounds monotonically, so the edges are nondecreasing in e —
+// which activationEdge's binary search relies on.
+func gridEdge(lo, hi float64, e, g int) float64 {
+	return lo + (hi-lo)*float64(e)/float64(g)
+}
+
+// activationEdge returns the first edge e in 1..g with !(gridEdge(e) < v),
+// where PointMass{V: v}.CDF steps from 0 to 1, or g+1 if no edge reaches v.
+// A NaN v activates at edge 1, as the CDF's comparison does.
+func activationEdge(lo, hi, v float64, g int) int {
+	l, h := 1, g+1
+	for l < h {
+		m := int(uint(l+h) >> 1)
+		if gridEdge(lo, hi, m, g) < v {
+			l = m + 1
+		} else {
+			h = m
+		}
+	}
+	return l
 }
 
 // estimate is the large-window path: weighted lower quantile of the pooled
@@ -290,6 +378,10 @@ func (a *quantileAgg) sketchQuantile(cs []qContrib, w float64) (float64, bool) {
 // the truncated-count DP: dp[j] holds P(count = j) for j < k and dp[k] the
 // absorbed P(count ≥ k). dp is caller-provided scratch of length k+1
 // (resliced and zeroed here) so grid tabulation allocates once.
+//
+// Trials with t ≤ 0 are skipped: a zero trial maps every finite dp entry to
+// itself bit for bit, and once a NaN trial has poisoned dp every entry is
+// NaN either way, so the skip never changes the result.
 func pbTail(dp []float64, ts []float64, k int) float64 {
 	dp = dp[:k+1]
 	for i := range dp {
@@ -297,9 +389,10 @@ func pbTail(dp []float64, ts []float64, k int) float64 {
 	}
 	dp[0] = 1
 	for _, t := range ts {
-		if t < 0 {
-			t = 0
-		} else if t > 1 {
+		if t <= 0 {
+			continue
+		}
+		if t > 1 {
 			t = 1
 		}
 		dp[k] += t * dp[k-1]

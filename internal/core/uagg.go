@@ -102,10 +102,14 @@ type UAgg interface {
 	Heavy() bool
 	// NewAcc builds a fresh incremental accumulator.
 	NewAcc() Acc
-	// Prepare runs the per-tuple shard-side work for the partial form.
+	// Finalize folds one group's prepared contributions, in global
+	// arrival (Seq) order, into its output rows: the partial form's merge
+	// side, and the rescan path's whole computation. It must equal what an
+	// Acc fed the same contributions returns from Result.
 	Finalize(cs []PartialContrib) []AggOut
-	// Prepare returns the prepared distribution and aux data for one
-	// contribution; the spine stamps Seq/U/P.
+	// Prepare runs the per-tuple shard-side work for the partial form: it
+	// returns the prepared distribution and aux data for one contribution;
+	// the spine stamps Seq/U/P.
 	Prepare(u *UTuple, p float64) (d dist.Dist, aux []float64)
 }
 

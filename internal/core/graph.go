@@ -150,34 +150,27 @@ func NewGroupSumWindowOp(name string, cfg GroupSumOpConfig) stream.Operator {
 }
 
 // dedupLatest keeps, per certain key, only the latest tuple (later arrival
-// wins timestamp ties), preserving arrival order of the survivors. Tuples
-// missing the key are never deduplicated: each one survives (and, in the
-// sharded plan, routes round-robin rather than panicking the partitioner).
-// dedupLatestTuples (shard.go) applies the same algorithm to carrier
-// tuples; both delegate to dedupLatestBy so the sharded and unsharded plans
-// can never drift apart.
-func dedupLatest(us []*UTuple, key string) []*UTuple {
-	return dedupLatestBy(us, key, func(u *UTuple) *UTuple { return u })
-}
-
-// dedupLatestBy is the one latest-wins dedup implementation, generic over
-// the element's UTuple accessor.
-func dedupLatestBy[T comparable](xs []T, key string, utuple func(T) *UTuple) []T {
-	latest := make(map[int64]T, len(xs))
+// wins timestamp ties), appending the survivors to out in arrival order.
+// Tuples missing the key are never deduplicated: each one survives (and, in
+// the sharded plan, routes round-robin rather than panicking the
+// partitioner). latest is reusable scratch, cleared first. The window-close
+// pass (windowPrep, shard.go) is its one caller, for the unsharded rescan
+// and every shard alike, so their dedup can never drift apart; it is
+// generic over the element's UTuple accessor.
+func dedupLatest[T comparable](out []T, latest map[int64]T, xs []T, key string, utuple func(T) *UTuple) []T {
+	clear(latest)
 	for _, x := range xs {
 		u := utuple(x)
-		if !u.HasKey(key) {
+		k, keyed := u.Keys[key]
+		if !keyed {
 			continue
 		}
-		k := u.Key(key)
 		if cur, ok := latest[k]; !ok || u.TS >= utuple(cur).TS {
 			latest[k] = x
 		}
 	}
-	out := make([]T, 0, len(latest))
 	for _, x := range xs {
-		u := utuple(x)
-		if !u.HasKey(key) || latest[u.Key(key)] == x {
+		if k, keyed := utuple(x).Keys[key]; !keyed || latest[k] == x {
 			out = append(out, x)
 		}
 	}

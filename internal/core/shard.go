@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/dist"
 	"repro/internal/stream"
 )
 
@@ -21,12 +20,13 @@ import (
 //     dedup, membership evaluation, and the aggregate's Prepare (gating +
 //     moment extraction for sums, sketching for quantiles and top-k) — and
 //     emits, per window close, its per-group prepared contribution lists
-//     tagged with the partitioner's arrival sequence.
+//     tagged with the partitioner's arrival sequence. Each list is in
+//     arrival order, so it is a Seq-ascending run.
 //   - The merge box collects partials until every shard has forwarded the
-//     window's close punctuation, restores each group's global contribution
-//     order by sequence stamp, and folds with the aggregate's Finalize —
-//     the exact code path the rescan realization uses — so the fold order,
-//     the RNG seeding, and therefore the emitted bytes match the unsharded
+//     window's close punctuation, merges each group's per-shard runs into
+//     global arrival order, and folds with the aggregate's Finalize — the
+//     exact code path the rescan realization uses — so the fold order, the
+//     RNG seeding, and therefore the emitted bytes match the unsharded
 //     plan.
 //
 // Groups are not used for routing because membership is probabilistic: one
@@ -56,8 +56,11 @@ type windowAggOp struct {
 // (per-window re-evaluation) form regardless of the incremental
 // configuration: the incremental path's accumulators produce byte-identical
 // output to the rescan path (pinned by the equivalence tests), so the
-// sharded plan is equivalent to both; within a shard each window holds only
-// ~1/p of the stream, which is also what keeps the per-slide rescan cheap.
+// sharded plan is equivalent to both. A shard still re-folds every window
+// it closes: a sliding window re-emits each of its tuples' contributions
+// once per slide (Duration/Slide times). What it does not repeat is the
+// per-tuple work — membership and Prepare run once per tuple, and later
+// windows copy the prepared contributions (windowPrep's memo).
 func (o *windowAggOp) Shard(p int) stream.ShardPlan {
 	cfg := o.cfg
 	name := o.Name()
@@ -109,35 +112,11 @@ func (o *aggKindOp) AggKind() string { return o.kind }
 // per-group partials plus the forwarded close punctuations the merge
 // counts.
 func NewWindowAggPartialOp(name string, cfg WindowAggConfig) stream.Operator {
+	prep := newWindowPrep(cfg)
 	inner := stream.NewExternalWindow(name, cfg.Window, func(window []*stream.Tuple, end stream.Time, emit stream.Emit) {
-		if len(window) == 0 {
-			return
-		}
-		survivors := window
-		if cfg.DedupKey != "" {
-			survivors = dedupLatestTuples(window, cfg.DedupKey)
-		}
-		groups := make(map[string]*groupPartial)
-		var order []*groupPartial
-		for _, t := range survivors {
-			u := Unwrap(t)
-			for _, gm := range cfg.memberOf(u) {
-				p := gm.P * u.Exist
-				if p <= 0 {
-					continue
-				}
-				d, aux := cfg.Agg.Prepare(u, p)
-				gp := groups[gm.Group]
-				if gp == nil {
-					gp = &groupPartial{end: end, group: gm.Group}
-					groups[gm.Group] = gp
-					order = append(order, gp)
-				}
-				gp.contribs = append(gp.contribs, PartialContrib{Seq: t.Seq, U: u, P: p, D: d, Aux: aux})
-			}
-		}
-		for _, gp := range order {
-			emit(stream.NewTuple(partialSchema, end, gp))
+		gps := prep.close(window, end)
+		for i := range gps {
+			emit(stream.NewTuple(partialSchema, end, &gps[i]))
 		}
 	})
 	return &aggKindOp{Operator: inner, kind: cfg.Agg.Kind()}
@@ -154,34 +133,209 @@ type groupPartial struct {
 // partialSchema carries groupPartial payloads between shard and merge.
 var partialSchema = stream.NewSchema("__partial")
 
-// momentDist caches Mean/Variance computed where the contribution was built
-// (the shard instance), so the merge's cumulant fold for the moment
-// strategies touches no distribution internals — the values are the same
-// float64s the unsharded fold would compute, just computed in parallel.
-type momentDist struct {
-	dist.Dist
-	mean, variance float64
+// windowPrep is the window-close pass shared by the shard partials and the
+// unsharded rescan: dedup, membership and Prepare over one window, grouped
+// into per-group contribution lists in arrival order. Its scratch (dedup
+// map, group index, contribution list) is reused across closes, and each
+// close's output lives in one contribution array and one group array.
+// Dedup is the unsharded plan's latest-wins (dedupLatest); within a
+// shard it equals the unsharded dedup restricted to the shard's keys,
+// because the partitioner routes all of a key's tuples to one shard.
+//
+// On sliding windows a tuple sits in several consecutive windows, and its
+// prepared contributions depend on the tuple alone, so they are memoized
+// for one close: a tuple prepared in the previous window is copied, not
+// re-prepared. Two generations suffice because a tuple's windows are
+// consecutive closes.
+type windowPrep struct {
+	cfg    WindowAggConfig
+	memo   bool
+	latest map[int64]*stream.Tuple
+	surv   []*stream.Tuple
+	index  map[string]int
+	names  []string
+	starts []int
+	// cur holds this close's contributions in arrival order, tuple by
+	// tuple; seen maps each tuple to its span in cur. prev/prevSeen are the
+	// previous close's, kept only when memoizing.
+	cur, prev      []preparedContrib
+	seen, prevSeen map[*stream.Tuple]span
 }
 
-func (m momentDist) Mean() float64     { return m.mean }
-func (m momentDist) Variance() float64 { return m.variance }
-
-// dedupLatestTuples is dedupLatest over carrier tuples (the sequence stamp
-// lives on the stream.Tuple); it shares the dedupLatestBy implementation,
-// so the sharded plan's dedup is the unsharded plan's dedup by
-// construction. Within a shard the result equals the unsharded dedup
-// restricted to the shard's keys, because the partitioner routes all of a
-// key's tuples to one shard.
-func dedupLatestTuples(window []*stream.Tuple, key string) []*stream.Tuple {
-	return dedupLatestBy(window, key, Unwrap)
+// preparedContrib is one contribution with its group name and, for this
+// close, the group's index.
+type preparedContrib struct {
+	group string
+	gi    int
+	c     PartialContrib
 }
 
-// mergeWin accumulates one window's partials until every shard has closed.
+type span struct{ off, n int }
+
+func newWindowPrep(cfg WindowAggConfig) *windowPrep {
+	wp := &windowPrep{cfg: cfg, memo: cfg.Window.Slide > 0, index: make(map[string]int)}
+	if cfg.DedupKey != "" {
+		wp.latest = make(map[int64]*stream.Tuple)
+	}
+	if wp.memo {
+		wp.seen = make(map[*stream.Tuple]span)
+		wp.prevSeen = make(map[*stream.Tuple]span)
+	}
+	return wp
+}
+
+// close prepares one window and returns its per-group partials, groups in
+// first-contribution order and each group's contributions in window order.
+// The returned slices are fresh per close; the caller may keep them.
+func (wp *windowPrep) close(window []*stream.Tuple, end stream.Time) []groupPartial {
+	if len(window) == 0 {
+		return nil
+	}
+	survivors := window
+	if wp.latest != nil {
+		wp.surv = dedupLatest(wp.surv[:0], wp.latest, window, wp.cfg.DedupKey, Unwrap)
+		survivors = wp.surv
+	}
+	if wp.memo {
+		wp.cur, wp.prev = wp.prev[:0], wp.cur
+		wp.seen, wp.prevSeen = wp.prevSeen, wp.seen
+		clear(wp.seen)
+	} else {
+		wp.cur = wp.cur[:0]
+	}
+	for _, t := range survivors {
+		wp.prepare(t)
+	}
+
+	// Index the groups in first-contribution order and count each.
+	clear(wp.index)
+	wp.names = wp.names[:0]
+	wp.starts = wp.starts[:0]
+	for i := range wp.cur {
+		pc := &wp.cur[i]
+		gi, ok := wp.index[pc.group]
+		if !ok {
+			gi = len(wp.names)
+			wp.index[pc.group] = gi
+			wp.names = append(wp.names, pc.group)
+			wp.starts = append(wp.starts, 0)
+		}
+		pc.gi = gi
+		wp.starts[gi]++
+	}
+	// Counting sort into one array: starts[g] becomes group g's fill cursor.
+	off := 0
+	for g, n := range wp.starts {
+		wp.starts[g] = off
+		off += n
+	}
+	contribs := make([]PartialContrib, len(wp.cur))
+	gps := make([]groupPartial, len(wp.names))
+	for g, name := range wp.names {
+		gps[g] = groupPartial{end: end, group: name}
+	}
+	for i := range wp.cur {
+		pc := &wp.cur[i]
+		contribs[wp.starts[pc.gi]] = pc.c
+		wp.starts[pc.gi]++
+	}
+	lo := 0
+	for g := range gps {
+		hi := wp.starts[g]
+		gps[g].contribs = contribs[lo:hi:hi]
+		lo = hi
+	}
+	if !wp.memo {
+		clear(wp.cur) // drop tuple references until the next close
+	}
+	return gps
+}
+
+// prepare appends tuple t's contributions to cur: copied from the previous
+// close when memoized, otherwise membership + Prepare.
+func (wp *windowPrep) prepare(t *stream.Tuple) {
+	off := len(wp.cur)
+	if sp, ok := wp.prevSeen[t]; ok {
+		wp.cur = append(wp.cur, wp.prev[sp.off:sp.off+sp.n]...)
+	} else {
+		u := Unwrap(t)
+		for _, gm := range wp.cfg.memberOf(u) {
+			p := gm.P * u.Exist
+			if p <= 0 {
+				continue
+			}
+			d, aux := wp.cfg.Agg.Prepare(u, p)
+			wp.cur = append(wp.cur, preparedContrib{group: gm.Group, c: PartialContrib{Seq: t.Seq, U: u, P: p, D: d, Aux: aux}})
+		}
+	}
+	if wp.memo {
+		wp.seen[t] = span{off: off, n: len(wp.cur) - off}
+	}
+}
+
+// mergeWin accumulates one window's partials until every shard has closed:
+// per group, in first-arrival order, the Seq-ascending runs the shards sent.
 type mergeWin struct {
 	end    stream.Time
 	closes int
-	groups map[string][]PartialContrib
-	order  []string
+	index  map[string]int
+	groups []mergeGroup
+}
+
+type mergeGroup struct {
+	name string
+	runs [][]PartialContrib
+}
+
+// add files one partial's contributions under its group.
+func (w *mergeWin) add(group string, cs []PartialContrib) {
+	gi, ok := w.index[group]
+	if !ok {
+		gi = len(w.groups)
+		w.index[group] = gi
+		w.groups = append(w.groups, mergeGroup{name: group})
+	}
+	g := &w.groups[gi]
+	g.runs = appendRuns(g.runs, cs)
+}
+
+// appendRuns appends cs to runs, split into maximal Seq-ascending runs. A
+// shard's partial is a single run (its window is in arrival order); a
+// restored snapshot's list is the concatenation of several.
+func appendRuns(runs [][]PartialContrib, cs []PartialContrib) [][]PartialContrib {
+	lo := 0
+	for i := 1; i < len(cs); i++ {
+		if cs[i].Seq < cs[i-1].Seq {
+			runs = append(runs, cs[lo:i:i])
+			lo = i
+		}
+	}
+	if lo < len(cs) {
+		runs = append(runs, cs[lo:len(cs):len(cs)])
+	}
+	return runs
+}
+
+// mergeRuns merges Seq-ascending runs into dst (len(dst) = their total
+// length). Ties go to the earlier run, so the result equals a stable sort of
+// the runs' concatenation by Seq: the group's unsharded arrival order.
+func mergeRuns(dst []PartialContrib, runs [][]PartialContrib) []PartialContrib {
+	var hb [8]int // a group has one run per shard: no allocation for p ≤ 8
+	heads := hb[:]
+	if len(runs) > len(hb) {
+		heads = make([]int, len(runs))
+	}
+	for i := range dst {
+		best := -1
+		for r, run := range runs {
+			if h := heads[r]; h < len(run) && (best < 0 || run[h].Seq < runs[best][heads[best]].Seq) {
+				best = r
+			}
+		}
+		dst[i] = runs[best][heads[best]]
+		heads[best]++
+	}
+	return dst
 }
 
 // windowAggMerge reunifies shard partials: one window finalizes after its
@@ -192,9 +346,9 @@ type mergeWin struct {
 // names the same window on every port, even when consecutive windows share
 // an end timestamp (count windows over duplicate timestamps, where
 // end-keyed matching would conflate them under channel interleaving).
-// Finalization sorts groups by name and each group's contributions by
-// arrival sequence, then folds with the aggregate's Finalize — the exact
-// unsharded emission.
+// Finalization merges each group's per-shard runs into global arrival
+// order, then folds with the aggregate's Finalize in group-name order — the
+// exact unsharded emission.
 type windowAggMerge struct {
 	name string
 	cfg  WindowAggConfig
@@ -220,7 +374,7 @@ func (o *windowAggMerge) AggKind() string { return o.cfg.Agg.Kind() }
 func (o *windowAggMerge) win(ordinal int) *mergeWin {
 	w := o.wins[ordinal]
 	if w == nil {
-		w = &mergeWin{groups: make(map[string][]PartialContrib)}
+		w = &mergeWin{index: make(map[string]int)}
 		o.wins[ordinal] = w
 	}
 	return w
@@ -245,22 +399,47 @@ func (o *windowAggMerge) Process(port int, t *stream.Tuple, emit stream.Emit) {
 		return // punctuations end their envelope here
 	}
 	gp := t.Get("__partial").(*groupPartial)
-	w := o.win(o.closed[port])
-	if _, seen := w.groups[gp.group]; !seen {
-		w.order = append(w.order, gp.group)
-	}
-	w.groups[gp.group] = append(w.groups[gp.group], gp.contribs...)
+	o.win(o.closed[port]).add(gp.group, gp.contribs)
 }
 
 // finalize emits the completed window through the shared emitFinalized
-// fold: groups in name order, each group's contributions re-sorted into
-// global arrival order.
+// fold, each group's runs merged into global arrival order (a group a
+// single shard fed passes its run through uncopied; the rest share one
+// fresh array).
 func (o *windowAggMerge) finalize(ordinal int, w *mergeWin, emit stream.Emit) {
 	delete(o.wins, ordinal)
 	if ordinal >= o.next {
 		o.next = ordinal + 1
 	}
-	emitFinalized(o.cfg, w.order, w.groups, w.end, true, emit)
+	n := 0
+	for _, g := range w.groups {
+		if len(g.runs) > 1 {
+			n += runsLen(g.runs)
+		}
+	}
+	buf := make([]PartialContrib, n)
+	gps := make([]groupPartial, 0, len(w.groups))
+	for _, g := range w.groups {
+		var cs []PartialContrib
+		switch len(g.runs) {
+		case 0:
+		case 1:
+			cs = g.runs[0]
+		default:
+			m := runsLen(g.runs)
+			cs, buf = mergeRuns(buf[:m:m], g.runs), buf[m:]
+		}
+		gps = append(gps, groupPartial{end: w.end, group: g.name, contribs: cs})
+	}
+	emitFinalized(o.cfg, gps, w.end, emit)
+}
+
+func runsLen(runs [][]PartialContrib) int {
+	n := 0
+	for _, r := range runs {
+		n += len(r)
+	}
+	return n
 }
 
 // Flush finalizes any windows still pending, in ordinal order — defensive:

@@ -197,7 +197,7 @@ func TestDedupLatestKeylessSurvives(t *testing.T) {
 		return u
 	}
 	us := []*UTuple{mk(1, 5), mk(2, -1), mk(3, 5), mk(4, -1)}
-	got := dedupLatest(us, "tag")
+	got := dedupLatest(nil, map[int64]*UTuple{}, us, "tag", func(u *UTuple) *UTuple { return u })
 	if len(got) != 3 {
 		t.Fatalf("dedupLatest kept %d tuples, want 3 (two keyless + latest of tag 5)", len(got))
 	}
@@ -209,21 +209,30 @@ func TestDedupLatestKeylessSurvives(t *testing.T) {
 	for _, u := range us {
 		ws = append(ws, Wrap(u))
 	}
-	gt := dedupLatestTuples(ws, "tag")
+	gt := dedupLatest(nil, map[int64]*stream.Tuple{}, ws, "tag", Unwrap)
 	if len(gt) != 3 || Unwrap(gt[0]) != us[1] || Unwrap(gt[1]) != us[2] || Unwrap(gt[2]) != us[3] {
-		t.Errorf("dedupLatestTuples disagrees with dedupLatest")
+		t.Errorf("carrier-tuple dedup disagrees with dedupLatest")
 	}
 }
 
-// TestMomentDistDelegates: the moment cache serves Mean/Variance from the
-// shard-computed values and forwards everything else to the gated mixture.
+// TestMomentDistDelegates: the sum's moments-only contribution serves
+// Mean/Variance from the closed form and answers everything else exactly as
+// the gated mixture does.
 func TestMomentDistDelegates(t *testing.T) {
 	base := BernoulliGate(dist.NewNormal(4, 2), 0.6)
-	m := momentDist{Dist: base, mean: base.Mean(), variance: base.Variance()}
+	m := newGatedMoments(dist.NewNormal(4, 2), 0.6)
 	if m.Mean() != base.Mean() || m.Variance() != base.Variance() {
 		t.Error("cached moments diverge from the gated mixture")
 	}
 	if m.CDF(3.5) != base.CDF(3.5) || m.CF(0.7) != base.CF(0.7) {
 		t.Error("delegated methods diverge from the gated mixture")
+	}
+	if m.Std() != base.Std() || m.PDF(3.5) != base.PDF(3.5) || m.Quantile(0.7) != base.Quantile(0.7) {
+		t.Error("delegated methods diverge from the gated mixture")
+	}
+	mlo, mhi := m.Support()
+	blo, bhi := base.Support()
+	if mlo != blo || mhi != bhi {
+		t.Error("support diverges from the gated mixture")
 	}
 }

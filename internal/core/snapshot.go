@@ -43,17 +43,37 @@ func init() {
 		func(w *snap.Writer, v stream.Value) error { return encodeGroupPartial(w, v.(*groupPartial)) },
 		func(r *snap.Reader) (stream.Value, error) { return decodeGroupPartial(r) },
 	)
-	dist.RegisterCodec(distTagMoment, momentDist{},
+	dist.RegisterCodec(distTagGatedMoments, gatedMoments{},
 		func(w *snap.Writer, d dist.Dist) error {
-			m := d.(momentDist)
-			w.F64(m.mean)
-			w.F64(m.variance)
-			return dist.Encode(w, m.Dist)
+			g := d.(gatedMoments)
+			w.F64(g.p)
+			w.F64(g.mean)
+			w.F64(g.variance)
+			return dist.Encode(w, g.base)
 		},
 		func(r *snap.Reader) (dist.Dist, error) {
-			m := momentDist{mean: r.F64(), variance: r.F64()}
-			m.Dist = dist.Decode(r)
-			return m, r.Err()
+			g := gatedMoments{p: r.F64(), mean: r.F64(), variance: r.F64()}
+			g.base = dist.Decode(r)
+			if err := r.Err(); err != nil {
+				return nil, err
+			}
+			if !(g.p > 0) {
+				return nil, fmt.Errorf("gated moments with gate probability %g", g.p)
+			}
+			return g, nil
+		},
+	)
+	// Tag 128 is the retired cached-moment wrapper (mean, variance, then the
+	// whole gate mixture). Blobs written before the moments-only form still
+	// decode, as the mixture under its cached moments.
+	dist.RegisterCodec(distTagMomentV1, nil, nil,
+		func(r *snap.Reader) (dist.Dist, error) {
+			g := gatedMoments{p: 1, mean: r.F64(), variance: r.F64()}
+			g.base = dist.Decode(r)
+			if err := r.Err(); err != nil {
+				return nil, err
+			}
+			return g, nil
 		},
 	)
 }
@@ -61,9 +81,10 @@ func init() {
 // Registered codec tags (stream value tags must be >= 64, dist extension
 // tags >= 128).
 const (
-	valTagUTuple  uint8 = 64
-	valTagPartial uint8 = 65
-	distTagMoment uint8 = 128
+	valTagUTuple        uint8 = 64
+	valTagPartial       uint8 = 65
+	distTagMomentV1     uint8 = 128 // decode only
+	distTagGatedMoments uint8 = 129
 )
 
 // --- UTuple ---
@@ -125,6 +146,9 @@ func decodeUTuple(r *snap.Reader) (*UTuple, error) {
 	ids := make([]uint64, nl)
 	for i := range ids {
 		ids[i] = r.Uvarint()
+		if i > 0 && ids[i] <= ids[i-1] && r.Err() == nil {
+			r.Fail("utuple lineage ids not strictly increasing")
+		}
 	}
 	nk := r.Len()
 	if err := r.Err(); err != nil {
@@ -522,14 +546,15 @@ func (o *windowAggMerge) Snapshot() ([]byte, error) {
 		w.Varint(int64(ord))
 		w.Varint(int64(win.end))
 		w.Varint(int64(win.closes))
-		w.Uvarint(uint64(len(win.order)))
-		for _, g := range win.order {
-			w.String(g)
-			cs := win.groups[g]
-			w.Uvarint(uint64(len(cs)))
-			for _, c := range cs {
-				if err := encodeContrib(w, c); err != nil {
-					return nil, err
+		w.Uvarint(uint64(len(win.groups)))
+		for _, g := range win.groups {
+			w.String(g.name)
+			w.Uvarint(uint64(runsLen(g.runs)))
+			for _, run := range g.runs {
+				for _, c := range run {
+					if err := encodeContrib(w, c); err != nil {
+						return nil, err
+					}
 				}
 			}
 		}
@@ -557,7 +582,7 @@ func (o *windowAggMerge) Restore(data []byte) error {
 	}
 	for i := 0; i < nw; i++ {
 		ord := int(r.Varint())
-		win := &mergeWin{groups: make(map[string][]PartialContrib)}
+		win := &mergeWin{index: make(map[string]int)}
 		win.end = stream.Time(r.Varint())
 		win.closes = int(r.Varint())
 		ng := r.Len()
@@ -578,8 +603,7 @@ func (o *windowAggMerge) Restore(data []byte) error {
 				}
 				cs = append(cs, c)
 			}
-			win.order = append(win.order, g)
-			win.groups[g] = cs
+			win.add(g, cs)
 		}
 		o.wins[ord] = win
 	}

@@ -107,13 +107,13 @@ func utupleRoundTrip(t *testing.T, u *UTuple) *UTuple {
 }
 
 // TestUTupleCodecRoundTrip pins the full uncertain-tuple encoding: names,
-// attribute distributions (including the cached-moment shard wrapper that
+// attribute distributions (including the sum's moments-only contribution that
 // goes through the dist extension registry), existence, lineage, and
 // integer keys.
 func TestUTupleCodecRoundTrip(t *testing.T) {
 	u := NewUTuple(1200, []string{"x", "y", "weight"}, []dist.Dist{
 		dist.NewNormal(41.2, 1.5),
-		momentDist{Dist: dist.NewNormal(7, 1.5), mean: 7.0000000000000009, variance: 2.25},
+		newGatedMoments(dist.NewNormal(7, 1.5), 0.75),
 		dist.PointMass{V: 140},
 	})
 	u.Exist = 0.8125

@@ -2,10 +2,13 @@ package core
 
 import (
 	"runtime"
-	"sort"
+	"slices"
+	"strings"
 
+	"repro/internal/cf"
 	"repro/internal/dist"
 	"repro/internal/lineage"
+	"repro/internal/rng"
 	"repro/internal/stream"
 )
 
@@ -76,9 +79,9 @@ type PartialContrib struct {
 	Seq uint64
 	U   *UTuple
 	P   float64
-	// D is an optional prepared distribution (the sum's Bernoulli gate,
-	// moment-cached for the moment strategies). Nil when the aggregate
-	// derives everything from U and Aux.
+	// D is an optional prepared distribution (the sum's Bernoulli gate, or
+	// for the moment strategies its closed-form moments, gatedMoments). Nil
+	// when the aggregate derives everything from U and Aux.
 	D dist.Dist
 	// Aux is optional precomputed per-contribution data (quantile sketch
 	// points, per-dimension dominance sketches), layout private to the
@@ -142,8 +145,11 @@ func (cfg *WindowAggConfig) memberOf(u *UTuple) []GroupMass {
 	if cfg.Member != nil {
 		return cfg.Member(u)
 	}
-	return []GroupMass{{Group: "", P: 1}}
+	return ungrouped
 }
+
+// ungrouped is the implicit single-group assignment (read-only).
+var ungrouped = []GroupMass{{Group: "", P: 1}}
 
 // NewWindowAggOp builds the generalized windowed aggregate box. Sliding
 // time windows take the incremental delta path automatically unless
@@ -155,72 +161,41 @@ func NewWindowAggOp(name string, cfg WindowAggConfig) stream.Operator {
 }
 
 // newWindowAggInner builds the unsharded realization: incremental for
-// sliding time windows, rescan otherwise.
+// sliding time windows, rescan otherwise. A rescan close is the shard
+// partial's close pass (windowPrep) followed by the same per-group Finalize
+// fold the shard merge runs — reference semantics by construction.
 func newWindowAggInner(name string, cfg WindowAggConfig) stream.Operator {
 	if cfg.Window.Slide > 0 && !cfg.Recompute {
 		return newIncWindowAggOp(name, cfg)
 	}
+	prep := newWindowPrep(cfg)
 	return stream.NewWindow(name, cfg.Window, func(window []*stream.Tuple, end stream.Time, emit stream.Emit) {
-		rescanWindowAgg(cfg, window, end, emit)
+		emitFinalized(cfg, prep.close(window, end), end, emit)
 	})
 }
 
-// rescanWindowAgg is the recompute realization of one window close: dedup,
-// membership, Prepare per contribution, then the same per-group Finalize
-// fold the shard merge runs — reference semantics by construction.
-func rescanWindowAgg(cfg WindowAggConfig, window []*stream.Tuple, end stream.Time, emit stream.Emit) {
-	if len(window) == 0 {
+// emitFinalized folds and emits each group's rows in group-name order; the
+// rescan realization and the shard merge both end here, so their output
+// cannot drift apart. Each group's contributions must be in global arrival
+// order. For heavy aggregates the per-group folds fan out across a worker
+// pool; emission stays sequential in name order, so output is deterministic
+// regardless of scheduling.
+func emitFinalized(cfg WindowAggConfig, gps []groupPartial, end stream.Time, emit stream.Emit) {
+	if len(gps) == 0 {
 		return
 	}
-	survivors := window
-	if cfg.DedupKey != "" {
-		survivors = dedupLatestTuples(window, cfg.DedupKey)
-	}
-	groups := make(map[string][]PartialContrib)
-	var order []string
-	for _, t := range survivors {
-		u := Unwrap(t)
-		for _, gm := range cfg.memberOf(u) {
-			p := gm.P * u.Exist
-			if p <= 0 {
-				continue
-			}
-			d, aux := cfg.Agg.Prepare(u, p)
-			if _, seen := groups[gm.Group]; !seen {
-				order = append(order, gm.Group)
-			}
-			groups[gm.Group] = append(groups[gm.Group], PartialContrib{Seq: t.Seq, U: u, P: p, D: d, Aux: aux})
-		}
-	}
-	emitFinalized(cfg, order, groups, end, false, emit)
-}
-
-// emitFinalized folds and emits each group's rows in group-name order. The
-// contributions must already be in global arrival order unless sortSeq asks
-// for the merge-side re-sort by sequence stamp. For heavy aggregates the
-// per-group folds fan out across a worker pool; emission stays sequential
-// in name order, so output is deterministic regardless of scheduling.
-func emitFinalized(cfg WindowAggConfig, order []string, groups map[string][]PartialContrib,
-	end stream.Time, sortSeq bool, emit stream.Emit) {
-	if len(order) == 0 {
-		return
-	}
-	sort.Strings(order)
+	slices.SortFunc(gps, func(a, b groupPartial) int { return strings.Compare(a.group, b.group) })
 	outNames := []string{cfg.Agg.Attr(), "group"}
-	outs := make([][]*stream.Tuple, len(order))
+	outs := make([][]*stream.Tuple, len(gps))
 	build := func(i int) {
-		g := order[i]
-		cs := groups[g]
-		if sortSeq {
-			sort.SliceStable(cs, func(a, b int) bool { return cs[a].Seq < cs[b].Seq })
-		}
+		cs := gps[i].contribs
 		rows := cfg.Agg.Finalize(cs)
 		sets := make([]lineage.Set, len(cs))
 		for j := range cs {
 			sets[j] = cs[j].U.Lin
 		}
 		lin := lineage.UnionAll(sets...)
-		outs[i] = assembleRows(g, rows, lin, end, outNames)
+		outs[i] = assembleRows(gps[i].group, rows, lin, end, outNames)
 	}
 	workers := cfg.Workers
 	if workers <= 0 {
@@ -228,13 +203,13 @@ func emitFinalized(cfg WindowAggConfig, order []string, groups map[string][]Part
 		// union and tuple assembly; the pool pays off for the cheap moment
 		// strategies too once there are enough groups (it is the serial tail
 		// that would otherwise cap shard scaling).
-		if cfg.Agg.Heavy() || len(order) >= 8 {
+		if cfg.Agg.Heavy() || len(gps) >= 8 {
 			workers = runtime.GOMAXPROCS(0)
 		} else {
 			workers = 1
 		}
 	}
-	runPool(workers, len(order), build)
+	runPool(workers, len(gps), build)
 	for _, ts := range outs {
 		for _, t := range ts {
 			emit(t)
@@ -346,10 +321,10 @@ func (l *alog[E]) each(fn func(handle uint64, v *E)) {
 // --- the gated sum, rebased on the spine ---
 
 // sumAgg is the existing gated-sum aggregate expressed as a UAgg: Prepare
-// and Finalize reuse the exact pre-refactor arithmetic (BernoulliGate +
-// momentDist caching shard-side, the shared Sum fold merge-side), and the
-// accumulator wraps SumState unchanged — so the rebase is byte-identical by
-// construction, and the golden pin holds it there.
+// and Finalize reuse the exact pre-refactor arithmetic (the Bernoulli gate,
+// or its closed-form moments, shard-side; the shared Sum fold merge-side),
+// and the accumulator wraps SumState unchanged — so the rebase is
+// byte-identical by construction, and the golden pin holds it there.
 type sumAgg struct {
 	attr  string
 	strat Strategy
@@ -369,12 +344,15 @@ func (a *sumAgg) NewAcc() Acc {
 	return &sumAcc{attr: a.attr, st: NewSumState(a.strat, a.opts)}
 }
 
+// Prepare gates the attribute by p. The heavy strategies fold the full gate
+// mixture; the moment strategies read only its mean and variance, which
+// gatedMoments carries in closed form.
 func (a *sumAgg) Prepare(u *UTuple, p float64) (dist.Dist, []float64) {
-	d := BernoulliGate(u.Attr(a.attr), p)
-	if !heavyResult(a.strat) {
-		d = momentDist{Dist: d, mean: d.Mean(), variance: d.Variance()}
+	d := u.Attr(a.attr)
+	if heavyResult(a.strat) {
+		return BernoulliGate(d, p), nil
 	}
-	return d, nil
+	return newGatedMoments(d, p), nil
 }
 
 func (a *sumAgg) Finalize(cs []PartialContrib) []AggOut {
@@ -384,6 +362,35 @@ func (a *sumAgg) Finalize(cs []PartialContrib) []AggOut {
 	}
 	return []AggOut{{D: Sum(ds, a.strat, a.opts)}}
 }
+
+// gatedMoments is BernoulliGate(base, p) with its mean and variance in
+// closed form (cf.GatedCumulants, bit-identical to the gate mixture's, as
+// cf's TestGatedCumulantsBitIdentical pins). It is the sum's prepared
+// contribution under the moment strategies, whose fold reads nothing else:
+// building it costs no mixture. Every other method builds the gate on
+// demand and answers exactly as the mixture does.
+type gatedMoments struct {
+	base           dist.Dist
+	p              float64
+	mean, variance float64
+}
+
+func newGatedMoments(base dist.Dist, p float64) gatedMoments {
+	c := cf.GatedCumulants(base.Mean(), base.Variance(), p)
+	return gatedMoments{base: base, p: p, mean: c.K1, variance: c.K2}
+}
+
+func (g gatedMoments) gate() dist.Dist { return BernoulliGate(g.base, g.p) }
+
+func (g gatedMoments) Mean() float64              { return g.mean }
+func (g gatedMoments) Variance() float64          { return g.variance }
+func (g gatedMoments) Std() float64               { return g.gate().Std() }
+func (g gatedMoments) PDF(x float64) float64      { return g.gate().PDF(x) }
+func (g gatedMoments) CDF(x float64) float64      { return g.gate().CDF(x) }
+func (g gatedMoments) Quantile(q float64) float64 { return g.gate().Quantile(q) }
+func (g gatedMoments) Sample(r *rng.RNG) float64  { return g.gate().Sample(r) }
+func (g gatedMoments) CF(t float64) complex128    { return g.gate().CF(t) }
+func (g gatedMoments) Support() (lo, hi float64)  { return g.gate().Support() }
 
 // sumAcc adapts SumState to the Acc interface; the attribute extraction it
 // adds is the same call the incremental box made inline pre-refactor.

@@ -42,7 +42,7 @@ const (
 	tagEmpirical
 )
 
-// extCodec is an externally registered family (e.g. core's cached-moment
+// extCodec is an externally registered family (e.g. core's gated-moment
 // wrapper around a partial aggregate).
 type extCodec struct {
 	tag uint8
@@ -57,8 +57,9 @@ var (
 
 // RegisterCodec adds an encode/decode pair for a distribution type defined
 // outside this package. The tag must be >= 128 and unique; sample fixes the
-// concrete type the encoder handles. Call from init only — the registry is
-// not synchronized.
+// concrete type the encoder handles. A nil sample (and enc) registers a
+// decode-only tag: a retired encoding that persisted blobs may still carry.
+// Call from init only — the registry is not synchronized.
 func RegisterCodec(tag uint8, sample Dist, enc func(*snap.Writer, Dist) error, dec func(*snap.Reader) (Dist, error)) {
 	if tag < 128 {
 		panic("dist: extension codec tags must be >= 128")
@@ -66,13 +67,16 @@ func RegisterCodec(tag uint8, sample Dist, enc func(*snap.Writer, Dist) error, d
 	if _, dup := extByTag[tag]; dup {
 		panic(fmt.Sprintf("dist: duplicate codec tag %d", tag))
 	}
+	c := extCodec{tag: tag, enc: enc, dec: dec}
+	extByTag[tag] = c
+	if sample == nil {
+		return
+	}
 	t := reflect.TypeOf(sample)
 	if _, dup := extByType[t]; dup {
 		panic(fmt.Sprintf("dist: duplicate codec type %v", t))
 	}
-	c := extCodec{tag: tag, enc: enc, dec: dec}
 	extByType[t] = c
-	extByTag[tag] = c
 }
 
 // Encode appends d's snapshot encoding to w.

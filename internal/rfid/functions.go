@@ -44,21 +44,31 @@ type AreaMass struct {
 // × (F_y(y1)−F_y(y0)) under the (axis-independent) location distribution.
 // Cells below minMass are dropped.
 func AreaMasses(x, y dist.Dist, minMass float64) []AreaMass {
+	return AppendAreaMasses(nil, x, y, 1, minMass)
+}
+
+// AppendAreaMasses appends AreaMasses(dist.Scale(x, k), dist.Scale(y, k),
+// minMass) to dst — k rescales a location into grid-cell units — with the
+// same bits. It is the per-tuple form of the uncertain GROUP BY: a Normal
+// axis is scaled as a value instead of being boxed into a new Dist, and the
+// per-axis cell lists live on the stack, so a caller appending into a stack
+// buffer allocates only the cell names.
+func AppendAreaMasses(dst []AreaMass, x, y dist.Dist, k, minMass float64) []AreaMass {
 	if minMass <= 0 {
 		minMass = 0.01
 	}
-	xCells := axisCells(x)
-	yCells := axisCells(y)
-	var out []AreaMass
+	var xb, yb [16]cellMass
+	xCells := scaledAxisCells(xb[:0], x, k)
+	yCells := scaledAxisCells(yb[:0], y, k)
 	for _, xc := range xCells {
 		for _, yc := range yCells {
 			p := xc.p * yc.p
 			if p >= minMass {
-				out = append(out, AreaMass{Area: areaName(xc.i, yc.i), P: p})
+				dst = append(dst, AreaMass{Area: areaName(xc.i, yc.i), P: p})
 			}
 		}
 	}
-	return out
+	return dst
 }
 
 type cellMass struct {
@@ -66,19 +76,34 @@ type cellMass struct {
 	p float64
 }
 
-func axisCells(d dist.Dist) []cellMass {
-	mu := d.Mean()
-	sd := math.Sqrt(d.Variance())
+// scaledAxisCells is axisCells over dist.Scale(d, k), taking the Normal
+// case (the T-operator's location posteriors) without boxing the scaled
+// value.
+func scaledAxisCells(dst []cellMass, d dist.Dist, k float64) []cellMass {
+	if n, ok := d.(dist.Normal); ok && k != 1 && k != 0 {
+		n = n.ScaleShift(k, 0) // exactly dist.Scale's Normal case
+		return axisCells(dst, n.Mean(), n.Variance(), n.CDF)
+	}
+	d = dist.Scale(d, k)
+	return axisCells(dst, d.Mean(), d.Variance(), d.CDF)
+}
+
+// axisCells appends the unit cells within ±3σ of the mean that carry more
+// than 1e-6 of the axis distribution's mass, F(i+1) − F(i). Each cell
+// boundary's CDF is evaluated once and reused by the next cell.
+func axisCells(dst []cellMass, mu, variance float64, cdf func(float64) float64) []cellMass {
+	sd := math.Sqrt(variance)
 	lo := int(math.Floor(mu - 3*sd))
 	hi := int(math.Floor(mu + 3*sd))
-	var out []cellMass
+	below := cdf(float64(lo))
 	for i := lo; i <= hi; i++ {
-		p := d.CDF(float64(i+1)) - d.CDF(float64(i))
-		if p > 1e-6 {
-			out = append(out, cellMass{i: i, p: p})
+		above := cdf(float64(i + 1))
+		if p := above - below; p > 1e-6 {
+			dst = append(dst, cellMass{i: i, p: p})
 		}
+		below = above
 	}
-	return out
+	return dst
 }
 
 // Weight returns the registered weight (pounds) for a tag — Q1's

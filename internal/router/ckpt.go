@@ -58,10 +58,9 @@ func (r *Router) clusterCheckpoint() error {
 	r.ckptMu.Lock()
 	defer r.ckptMu.Unlock()
 	ep := r.epoch()
-	if ep == nil || ep.ended.Load() {
+	if ep == nil || !r.pauseLive(ep) {
 		return errors.New("no stream running")
 	}
-	r.pause()
 	defer r.unpause()
 	id := r.ckptSeq.Add(1)
 	snaps, err := r.quiescedRound(ep, id)

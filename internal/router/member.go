@@ -52,10 +52,9 @@ func (r *Router) AdmitWorker(addr string) error {
 	r.ckptMu.Lock()
 	defer r.ckptMu.Unlock()
 	ep := r.epoch()
-	if ep == nil || ep.ended.Load() {
+	if ep == nil || !r.pauseLive(ep) {
 		return reject(errors.New("stream draining; retry join"))
 	}
-	r.pause()
 	defer r.unpause()
 	id := r.ckptSeq.Add(1)
 	snaps, err := r.quiescedRound(ep, id)
@@ -205,13 +204,12 @@ func (r *Router) removeWorker(l *link) {
 	r.ckptMu.Lock()
 	defer r.ckptMu.Unlock()
 	ep := r.epoch()
-	if ep == nil || ep.ended.Load() {
+	if ep == nil || !r.pauseLive(ep) {
 		// Mid-drain departure: the ordinary failover path promotes its
 		// slots and keeps the drain accounting right.
 		r.failLink(l)
 		return
 	}
-	r.pause()
 	defer r.unpause()
 	id := r.ckptSeq.Add(1)
 	snaps, err := r.quiescedRound(ep, id)

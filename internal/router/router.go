@@ -216,6 +216,9 @@ type Router struct {
 	// (checkpoint round, membership change); routeTuple/endStream wait it
 	// out instead of erroring.
 	paused bool
+	// beforeCut, when set (tests only), runs as a quiesced cut is about to
+	// pause routing, after it looked up the epoch.
+	beforeCut func()
 	// routeSlot maps logical slot -> link index currently serving it
 	// (slot % initial workers until a failover or migration redirects it;
 	// -1 when unservable).
@@ -1346,10 +1349,22 @@ func (r *Router) failLinkLocked(l *link) {
 
 // pause stalls routing (and end-of-stream) for a quiesced cut. Callers hold
 // ckptMu, so cuts never overlap; unpause releases the stall.
-func (r *Router) pause() {
+// pauseLive starts a quiesced cut of the running epoch ep. It re-checks
+// ended under routeMu, the lock endStream ends the epoch under: a cut that
+// looked ep up just before the end landed would otherwise send its round to
+// workers that have already drained. It reports false, without pausing,
+// when ep has ended.
+func (r *Router) pauseLive(ep *repoch) bool {
+	if r.beforeCut != nil {
+		r.beforeCut()
+	}
 	r.routeMu.Lock()
+	defer r.routeMu.Unlock()
+	if ep.ended.Load() {
+		return false
+	}
 	r.paused = true
-	r.routeMu.Unlock()
+	return true
 }
 
 func (r *Router) unpause() {

@@ -94,9 +94,8 @@ type Q1Alert struct {
 // grouping-cell units, spread over the cells it intersects.
 func areaMember(areaFt, minMass float64) core.Membership {
 	return func(u *core.UTuple) []core.GroupMass {
-		x := dist.Scale(u.Attr("x"), 1/areaFt)
-		y := dist.Scale(u.Attr("y"), 1/areaFt)
-		ms := rfid.AreaMasses(x, y, minMass)
+		var buf [16]rfid.AreaMass
+		ms := rfid.AppendAreaMasses(buf[:0], u.Attr("x"), u.Attr("y"), 1/areaFt, minMass)
 		out := make([]core.GroupMass, len(ms))
 		for i, m := range ms {
 			out[i] = core.GroupMass{Group: m.Area, P: m.P}

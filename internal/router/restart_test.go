@@ -251,3 +251,80 @@ func routerPlan(t *testing.T, cfg uop.Q1Config) *uop.ClusterPlan {
 	}
 	return plan
 }
+
+// TestRestartDropsSupersededLinkInput pins the interleaving behind the
+// restart divergence: a link the crashed router opened to a worker still
+// delivers buffered input after the recovering router has reset the worker.
+// That input predates the rewind and must be dropped — here a heavy tuple
+// for the window that straddles the checkpoint cut, sent on a connection
+// opened before the restart and only once the reset has completed. The
+// worker closes the superseded link and the resumed alerts still match the
+// offline reference.
+func TestRestartDropsSupersededLinkInput(t *testing.T) {
+	msgs := wireTrace(t, 40, 300)
+	cfg := clusterQ1Cfg()
+	ref := offlineAlertLines(t, msgs, cfg)
+	store, err := server.NewFileStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := startCluster(t, 1, cfg, func(c *Config) { c.Store = store })
+	sub1 := subscribe(t, cl.rt)
+	got1 := make(chan []string, 1)
+	go drainAlerts(t, sub1, got1)
+	ingest := dialRouter(t, cl.rt)
+	cut := len(msgs) * 6 / 10
+	for _, m := range msgs[:cut] {
+		ingest.send(m)
+	}
+	ingest.send(server.Msg{Kind: server.KindCkpt})
+	if m := ingest.recv(60 * time.Second); m.Kind != server.KindOK {
+		t.Fatalf("ckpt: got %+v", m)
+	}
+	stale := dialAddr(t, cl.workers[0].Addr().String())
+	cl.rt.Crash()
+	pre := <-got1
+
+	rt2, err := New(Config{Addr: "127.0.0.1:0", Workers: workerAddrs(cl), Plan: routerPlan(t, cfg), Store: store})
+	if err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	t.Cleanup(func() { rt2.Close() })
+	sub2 := dialRouter(t, rt2)
+	sub2.send(server.Msg{Kind: server.KindSub})
+	ack := sub2.recv(10 * time.Second)
+	if ack.Kind != server.KindOK || ack.Seq == 0 {
+		t.Fatalf("resubscribe: got %+v", ack)
+	}
+
+	heavy := msgs[ack.Seq]
+	heavy.Keys = map[string]int64{"tag": 1 << 40}
+	heavy.Attrs = map[string]server.Attr{}
+	for k, v := range msgs[ack.Seq].Attrs {
+		heavy.Attrs[k] = v
+	}
+	heavy.Attrs["weight"] = server.PointAttr(5000)
+	stale.send(heavy)
+	stale.conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	if _, err := stale.r.ReadByte(); err == nil || !strings.Contains(err.Error(), "EOF") {
+		t.Fatalf("superseded link still open after a reset (read: %v)", err)
+	}
+
+	in2 := dialRouter(t, rt2)
+	for _, m := range msgs[ack.Seq:] {
+		in2.send(m)
+	}
+	in2.send(server.Msg{Kind: server.KindEnd})
+	if m := in2.recv(60 * time.Second); m.Kind != server.KindOK {
+		t.Fatalf("end after restart: got %+v", m)
+	}
+	got2 := make(chan []string, 1)
+	go drainAlerts(t, sub2, got2)
+	post := <-got2
+	dup := len(pre) - int(ack.AlertCount())
+	if dup < 0 || dup > len(post) {
+		t.Fatalf("resume: %d pre-crash alerts, ack %d, %d replayed", len(pre), ack.AlertCount(), len(post))
+	}
+	combined := append(append([]string(nil), pre...), post[dup:]...)
+	diffLines(t, ref, combined, "restart with a superseded link")
+}

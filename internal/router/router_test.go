@@ -152,9 +152,15 @@ type testClient struct {
 
 func dialRouter(t *testing.T, rt *Router) *testClient {
 	t.Helper()
-	conn, err := net.Dial("tcp", rt.Addr().String())
+	return dialAddr(t, rt.Addr().String())
+}
+
+// dialAddr opens a protocol client on any listener (router or worker).
+func dialAddr(t *testing.T, addr string) *testClient {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
-		t.Fatalf("dial router: %v", err)
+		t.Fatalf("dial %s: %v", addr, err)
 	}
 	t.Cleanup(func() { conn.Close() })
 	return &testClient{t: t, conn: conn, r: bufio.NewReader(conn), w: bufio.NewWriter(conn)}

@@ -75,6 +75,10 @@ type clusterState struct {
 	// broadcasts to every link) but ships no parts.
 	ownReleased bool
 
+	// fence counts the router resets this worker has accepted; see
+	// linkFence.
+	fence atomic.Uint64
+
 	parts        atomic.Uint64
 	closes       atomic.Uint64
 	replicaLines atomic.Uint64
@@ -82,6 +86,20 @@ type clusterState struct {
 	resets       atomic.Uint64
 	releases     atomic.Uint64
 }
+
+// linkFence is one connection's view of the worker's reset fence. A router
+// reset advances the fence, and the resetting connection's view with it.
+// Input still arriving on a connection opened before the reset — the
+// superseded router's links, whose socket buffers outlive it — is dropped:
+// a tuple or close from the dead router's backlog must never reach the
+// rewound epoch, whose input the recovering router replays itself. Checks
+// read the epoch (or instance) first and the fence second: a reset advances
+// the fence before it cuts the old epoch, so a link that sees the new epoch
+// also sees itself superseded.
+type linkFence struct{ gen uint64 }
+
+// stale reports whether a reset superseded the connection behind lf.
+func (cl *clusterState) stale(lf *linkFence) bool { return lf.gen != cl.fence.Load() }
 
 // snapRec is one installed replica snapshot.
 type snapRec struct {
@@ -325,7 +343,7 @@ func (cl *clusterState) emitPart(ep *epoch, pe *partEmitter, t *stream.Tuple) {
 // as self-contained tail records (the connection's schema table dies with
 // the connection; the tail must not), hosted-slot tuples feed their
 // instance, and own-slot traffic takes the map-free ingest path.
-func (cl *clusterState) handleBwTuples(bts []BwTuple) (int, error) {
+func (cl *clusterState) handleBwTuples(bts []BwTuple, lf *linkFence) (int, error) {
 	own := int(cl.shard.Load())
 	for i := range bts {
 		bt := &bts[i]
@@ -333,7 +351,7 @@ func (cl *clusterState) handleBwTuples(bts []BwTuple) (int, error) {
 			if bt.Shard < 0 {
 				return i, errors.New("replica tuple carries no shard")
 			}
-			cl.appendTailOwned(bt.Shard, EncodeTailTuple(bt))
+			cl.appendTailOwned(bt.Shard, EncodeTailTuple(bt), lf)
 			cl.replicaLines.Add(1)
 			continue
 		}
@@ -344,7 +362,7 @@ func (cl *clusterState) handleBwTuples(bts []BwTuple) (int, error) {
 			}
 			t := core.Wrap(u)
 			t.Seq = bt.Seq
-			if err := cl.feedInstance(bt.Shard, sourceName(bt.Schema.Source), t); err != nil {
+			if err := cl.feedInstance(bt.Shard, sourceName(bt.Schema.Source), t, lf); err != nil {
 				return i, err
 			}
 			continue
@@ -355,7 +373,7 @@ func (cl *clusterState) handleBwTuples(bts []BwTuple) (int, error) {
 		}
 		t := core.Wrap(u)
 		t.Seq = bt.Seq
-		if err := cl.s.enqueue(sourceName(bt.Schema.Source), t); err != nil {
+		if err := cl.s.enqueue(sourceName(bt.Schema.Source), t, cl.liveFn(lf)); err != nil {
 			return i, err
 		}
 	}
@@ -365,60 +383,65 @@ func (cl *clusterState) handleBwTuples(bts []BwTuple) (int, error) {
 // handleBwClose is handleClose for a binary close frame: the record
 // appended to replica tails is the frame's canonical re-encoding —
 // already self-contained, so replay needs no connection state.
-func (cl *clusterState) handleBwClose(cm BwCloseMsg) error {
+func (cl *clusterState) handleBwClose(cm BwCloseMsg, lf *linkFence) error {
 	if cm.T < 0 {
 		return fmt.Errorf("close t_ms %d is negative", cm.T)
 	}
-	return cl.applyClose(EncodeBwClose(cm.Source, cm.T, cm.Seq), sourceName(cm.Source), cm.T, cm.Seq)
+	return cl.applyClose(EncodeBwClose(cm.Source, cm.T, cm.Seq), sourceName(cm.Source), cm.T, cm.Seq, lf)
 }
 
 // handleTuple dispatches one routed "tuple" line: replica copies append to
 // the slot's tail, tuples for a hosted (promoted) slot feed that instance,
 // and everything else is this worker's own traffic.
-func (cl *clusterState) handleTuple(raw []byte, m Msg) error {
+func (cl *clusterState) handleTuple(raw []byte, m Msg, lf *linkFence) error {
 	if m.Replica {
 		if m.Shard == nil {
 			return errors.New("replica tuple carries no shard")
 		}
-		cl.appendTail(*m.Shard, raw)
+		cl.appendTailOwned(*m.Shard, append([]byte(nil), raw...), lf) // the reader reuses raw
 		cl.replicaLines.Add(1)
 		return nil
 	}
-	if m.Shard != nil && *m.Shard != int(cl.shard.Load()) {
-		u, err := ParseTuple(m)
-		if err != nil {
-			return err
-		}
-		t := core.Wrap(u)
-		t.Seq = m.Seq
-		return cl.feedInstance(*m.Shard, sourceOf(m), t)
+	u, err := ParseTuple(m)
+	if err != nil {
+		return err
 	}
-	return cl.s.ingest(m)
+	t := core.Wrap(u)
+	t.Seq = m.Seq
+	if m.Shard != nil && *m.Shard != int(cl.shard.Load()) {
+		return cl.feedInstance(*m.Shard, sourceOf(m), t, lf)
+	}
+	return cl.s.enqueue(sourceOf(m), t, cl.liveFn(lf))
 }
 
-// appendTail records a raw line in slot's replay tail. The reader reuses
-// its buffer, so the line is copied.
-func (cl *clusterState) appendTail(slot int, raw []byte) {
-	cl.appendTailOwned(slot, append([]byte(nil), raw...))
+// liveFn is lf's fence check in the form Server.enqueue takes.
+func (cl *clusterState) liveFn(lf *linkFence) func() bool {
+	return func() bool { return !cl.stale(lf) }
 }
 
 // appendTailOwned records a tail record the caller already owns (no
 // buffer aliasing) without copying.
-func (cl *clusterState) appendTailOwned(slot int, rec []byte) {
+func (cl *clusterState) appendTailOwned(slot int, rec []byte, lf *linkFence) {
 	cl.mu.Lock()
-	cl.tails[slot] = append(cl.tails[slot], rec)
+	if !cl.stale(lf) {
+		cl.tails[slot] = append(cl.tails[slot], rec)
+	}
 	cl.mu.Unlock()
 }
 
 // feedInstance delivers a routed tuple to a promoted slot's instance. Like
 // Server.enqueue, it waits out the between-epochs gap: the next beginEpoch
 // re-spawns hosted instances, and tuples that race it must not be lost.
-func (cl *clusterState) feedInstance(slot int, source string, t *stream.Tuple) error {
+func (cl *clusterState) feedInstance(slot int, source string, t *stream.Tuple, lf *linkFence) error {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		cl.mu.Lock()
 		inst, hosted := cl.insts[slot], cl.hosted[slot]
+		stale := cl.stale(lf)
 		cl.mu.Unlock()
+		if stale {
+			return nil
+		}
 		if inst != nil {
 			err := cl.pushInstance(inst, source, t)
 			if !errors.Is(err, ErrQueueClosed) {
@@ -449,12 +472,15 @@ func (cl *clusterState) pushInstance(inst *instance, source string, t *stream.Tu
 
 // handleControl dispatches the cluster control kinds; replies (possibly
 // several, for multi-slot checkpoint acks) go back on the same connection.
-func (cl *clusterState) handleControl(raw []byte, m Msg) ([]Msg, error) {
+func (cl *clusterState) handleControl(raw []byte, m Msg, lf *linkFence) ([]Msg, error) {
+	if cl.stale(lf) {
+		return nil, errors.New("link superseded by a router reset")
+	}
 	switch m.Kind {
 	case KindJoin:
 		return cl.handleJoin(m)
 	case KindClose:
-		return nil, cl.handleClose(raw, m)
+		return nil, cl.handleClose(raw, m, lf)
 	case KindCkpt:
 		return cl.handleCkpt(m)
 	case KindSnap:
@@ -462,7 +488,7 @@ func (cl *clusterState) handleControl(raw []byte, m Msg) ([]Msg, error) {
 	case KindPromote:
 		return cl.handlePromote(m)
 	case KindReset:
-		return cl.handleReset(m)
+		return cl.handleReset(m, lf)
 	case KindRelease:
 		return cl.handleRelease(m)
 	}
@@ -474,13 +500,14 @@ func (cl *clusterState) handleControl(raw []byte, m Msg) ([]Msg, error) {
 // the recovering router has not subscribed yet), and wait for the next
 // beginEpoch to apply it. The ack returns only once the rewound epoch is
 // live, so the router's subsequent subscribe sees post-reset state only.
-func (cl *clusterState) handleReset(m Msg) ([]Msg, error) {
+func (cl *clusterState) handleReset(m Msg, lf *linkFence) ([]Msg, error) {
 	rb, err := DecodeResetBlob(m.Data)
 	if err != nil {
 		return nil, err
 	}
 	cl.mu.Lock()
 	cl.pendingReset = rb
+	lf.gen = cl.fence.Add(1) // every other link predates the rewind
 	cl.mu.Unlock()
 	before := cl.resets.Load()
 	deadline := time.Now().Add(15 * time.Second)
@@ -571,17 +598,17 @@ func (cl *clusterState) handleJoin(m Msg) ([]Msg, error) {
 // close that lands in the between-epochs gap waits for the next epoch (and
 // its re-spawned hosted instances) first, so no hosted slot ever misses a
 // punctuation — the merge counts one close per port per window.
-func (cl *clusterState) handleClose(raw []byte, m Msg) error {
+func (cl *clusterState) handleClose(raw []byte, m Msg, lf *linkFence) error {
 	if m.T < 0 {
 		return fmt.Errorf("close t_ms %d is negative", m.T)
 	}
-	return cl.applyClose(append([]byte(nil), raw...), sourceOf(m), m.T, m.Seq)
+	return cl.applyClose(append([]byte(nil), raw...), sourceOf(m), m.T, m.Seq, lf)
 }
 
 // applyClose is the encoding-independent body of handleClose: rec is an
 // owned tail record (a JSON line or a binary close frame — replayLine
 // dispatches on the first byte either way).
-func (cl *clusterState) applyClose(rec []byte, source string, tms int64, seq uint64) error {
+func (cl *clusterState) applyClose(rec []byte, source string, tms int64, seq uint64, lf *linkFence) error {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		cl.mu.Lock()
@@ -599,6 +626,10 @@ func (cl *clusterState) applyClose(rec []byte, source string, tms int64, seq uin
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
+	if cl.stale(lf) {
+		cl.mu.Unlock()
+		return nil
+	}
 	for slot := range cl.tails {
 		cl.tails[slot] = append(cl.tails[slot], rec)
 	}
@@ -610,7 +641,7 @@ func (cl *clusterState) applyClose(rec []byte, source string, tms int64, seq uin
 			return fmt.Errorf("slot %d: %w", inst.slot, err)
 		}
 	}
-	return cl.s.enqueue(source, stream.NewWindowClose(stream.Time(tms), seq))
+	return cl.s.enqueue(source, stream.NewWindowClose(stream.Time(tms), seq), cl.liveFn(lf))
 }
 
 // handleCkpt takes a cluster checkpoint: snapshot the worker's own slot and

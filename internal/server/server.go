@@ -552,11 +552,18 @@ func (s *Server) handleConn(c *ConnTrack) {
 		maxLine = 1 << 26
 	}
 	wr := NewWireReader(c, maxLine)
+	var lf linkFence
+	if s.cl != nil {
+		lf.gen = s.cl.fence.Load()
+	}
 	// Binary receive state, created on the connection's first frame.
 	var bdec *BwDecoder
 	var stScratch []stream.SourceTuple
 	for {
 		line, fr, rerr := wr.Next()
+		if s.cl != nil && s.cl.stale(&lf) {
+			return // a router reset superseded this link; drop its backlog
+		}
 		if rerr != nil {
 			// A read error (oversized message, truncated frame, mid-message
 			// disconnect) ends the connection, but it still deserves the
@@ -575,7 +582,7 @@ func (s *Server) handleConn(c *ConnTrack) {
 			if bdec == nil {
 				bdec = NewBwDecoder()
 			}
-			n, err := s.handleFrame(fr, bdec, &stScratch)
+			n, err := s.handleFrame(fr, bdec, &stScratch, &lf)
 			s.ingested.Add(uint64(n))
 			if err != nil {
 				s.ingestErrs.Add(1)
@@ -600,7 +607,7 @@ func (s *Server) handleConn(c *ConnTrack) {
 		case KindTuple:
 			var err error
 			if s.cl != nil {
-				err = s.cl.handleTuple(line, m)
+				err = s.cl.handleTuple(line, m, &lf)
 			} else {
 				err = s.ingest(m)
 			}
@@ -621,7 +628,7 @@ func (s *Server) handleConn(c *ConnTrack) {
 				reply(errMsg("%q requires a cluster worker (-mode worker)", m.Kind))
 				continue
 			}
-			replies, err := s.cl.handleControl(line, m)
+			replies, err := s.cl.handleControl(line, m, &lf)
 			if err != nil {
 				s.ingestErrs.Add(1)
 				reply(errMsg("%v", err))
@@ -656,6 +663,11 @@ func (s *Server) handleConn(c *ConnTrack) {
 				reply(errMsg("no epoch running"))
 				continue
 			}
+			if s.cl != nil && s.cl.stale(&lf) {
+				// A dead router's backlog must not end the rewound epoch;
+				// checked after the epoch lookup (see linkFence).
+				return
+			}
 			if s.cl != nil {
 				// Mark end-of-epoch first: a promote that arrives after this
 				// line must drain its instance inline before acking.
@@ -668,7 +680,7 @@ func (s *Server) handleConn(c *ConnTrack) {
 				// Cluster checkpoint: snapshot every hosted slot and reply
 				// one ckpt_ack per slot (the router installs them on the
 				// slots' replicas).
-				replies, err := s.cl.handleControl(line, m)
+				replies, err := s.cl.handleControl(line, m, &lf)
 				if err != nil {
 					reply(errMsg("checkpoint: %v", err))
 					continue
@@ -698,7 +710,7 @@ func (s *Server) handleConn(c *ConnTrack) {
 // handleFrame dispatches one binary frame, returning how many tuples it
 // ingested. Frame-shape problems and per-tuple semantic problems alike
 // cost one error reply; the connection keeps running.
-func (s *Server) handleFrame(fr BwFrame, bdec *BwDecoder, scratch *[]stream.SourceTuple) (int, error) {
+func (s *Server) handleFrame(fr BwFrame, bdec *BwDecoder, scratch *[]stream.SourceTuple, lf *linkFence) (int, error) {
 	switch fr.Kind {
 	case BwHello:
 		// The frame's arrival already marked the connection binary; the
@@ -713,7 +725,7 @@ func (s *Server) handleFrame(fr BwFrame, bdec *BwDecoder, scratch *[]stream.Sour
 			return 0, err
 		}
 		if s.cl != nil {
-			return s.cl.handleBwTuples(bts)
+			return s.cl.handleBwTuples(bts, lf)
 		}
 		return s.ingestBatch(bts, scratch)
 	case BwClose:
@@ -724,7 +736,7 @@ func (s *Server) handleFrame(fr BwFrame, bdec *BwDecoder, scratch *[]stream.Sour
 		if err != nil {
 			return 0, err
 		}
-		return 0, s.cl.handleBwClose(cm)
+		return 0, s.cl.handleBwClose(cm, lf)
 	default:
 		return 0, fmt.Errorf("unknown binary frame kind %#x", fr.Kind)
 	}
@@ -801,7 +813,7 @@ func (s *Server) ingest(m Msg) error {
 	// stamp; the partial aggregate's dedup ordering depends on it. Client
 	// tuples leave it zero and the plan stamps arrival order itself.
 	t.Seq = m.Seq
-	return s.enqueue(sourceOf(m), t)
+	return s.enqueue(sourceOf(m), t, nil)
 }
 
 // sourceOf resolves a tuple line's plan input stream.
@@ -817,11 +829,15 @@ func sourceName(s string) string {
 }
 
 // enqueue delivers one carrier tuple into the current epoch's ingest queue,
-// waiting out the between-epochs gap.
-func (s *Server) enqueue(source string, t *stream.Tuple) error {
+// waiting out the between-epochs gap. A non-nil live is checked after each
+// epoch lookup; once it reports false the tuple is dropped (see linkFence).
+func (s *Server) enqueue(source string, t *stream.Tuple, live func() bool) error {
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		ep := s.epoch()
+		if live != nil && !live() {
+			return nil
+		}
 		if ep != nil {
 			box, port, ok := ep.plan.LookupSource(source)
 			if !ok {
